@@ -1,527 +1,201 @@
-"""Benchmark regression sentry: gate committed ``BENCH_*.json`` baselines.
+"""Run the registered bench suites and gate their committed baselines.
 
-Every benchmark artifact this repo commits is (at least partly) a record
-of **deterministic simulated time** — the cost model is a closed form of
-the plan geometry, so the same code must reproduce the same numbers to
-the last bit. That makes the artifacts double as golden references: a
-cost-model tweak, a plan change, or a hook leaking simulated cost into
-the healthy path all show up as a drifted ratio. This module replays the
-deterministic parts of each benchmark and compares them against the
-committed baselines under explicit tolerances, replacing the ad-hoc
-drift-gate shell lines that used to live in CI with one command::
+Every baseline is one envelope, ``{schema, suite, params, env, payload}``,
+written only by :func:`run_suite` (``repro bench run SUITE --write``):
+``params`` are the JSON-pure inputs the suite's ``run`` took, ``payload``
+is what it returned, and ``env`` records the host that measured the
+wall-clock figures (``null`` when the payload holds none, or when the
+host is unknown).
 
-    repro bench check            # all suites
-    repro bench check --only serving --only serve
+:func:`run_checks` (``repro bench check``) is the drift gate. Per suite
+(see :mod:`repro.bench.suites` for what each one gates) it
 
-Suites (each skipped silently when its baseline file is absent):
+- checks the ``bars`` and ``baseline_bars`` on the committed payload;
+- replays the *recorded* params through the same ``run`` (when the suite
+  gates any field or has bars), compares each gated field against the
+  baseline, and checks the ``bars`` on the replay.
 
-- ``serving`` (``BENCH_serving.json``): one warm scan per recorded
-  proposal on the seed-7 workload; simulated time must match the
-  recorded ``simulated_time_s`` exactly (ratio 1.0 — no tolerance, the
-  healthy path is bit-deterministic).
-- ``single_pass`` (``BENCH_single_pass.json``): the full analytic
-  crossover sweep; ``sp_s``/``sp_dlb_s``/``lightscan_s`` within 1e-9
-  relative, winners and the crossover frontier exactly equal.
-- ``serve`` (``BENCH_serve.json``): replays every placement x arrival
-  cell (seed-11 workloads); batch shapes exactly equal, simulated
-  times/latencies/speedups at ratio 1.0.
-- ``obs_overhead`` (``BENCH_obs_overhead.json``): wall-clock medians are
-  machine-dependent, so nothing is re-timed; the recorded ratios are
-  checked against their recorded budgets (``enabled_ratio`` within
-  ``max_enabled_ratio``, ``profile_ratio`` within ``max_profile_ratio``).
-- ``restart`` (``BENCH_restart.json``): the recorded cold-vs-restored
-  first-request speedup is checked against its recorded floor (wall
-  clock, so not re-timed), and the determinism half *is* re-run: a cold
-  replay is snapshotted, restored into a fresh resolver/session, and the
-  restored replay must reproduce the cold batch traces bit-identically
-  with zero plan-resolver misses and zero tuner sweeps.
-- ``cluster`` (``BENCH_cluster.json``): the replica-scaling sweep is
-  replayed cell by cell (latency percentiles and throughput at ratio
-  1.0, counters exactly equal), the recorded replication win is
-  re-checked against its acceptance bar, and the drain/re-admit chaos
-  scenario is re-run twice — zero lost requests, summary matching the
-  baseline, and the repeated run bit-identical to the first.
-- ``adaptive`` (``BENCH_adaptive.json``): the adaptive-vs-static A/B is
-  re-run from the parameters committed in the baseline (two repeats per
-  cell — the replay must be bit-identical, decision log included), every
-  cell's latency percentiles/counters/decision digest must match the
-  recorded values exactly, and the recorded win is re-checked against
-  the acceptance bars (p99 improvement under burst, parity on steady).
-
-Wall-clock fields (``cold_s_median`` etc.) are never compared — they are
-measurements of the host, not of the code under test.
+Simulated time is a closed form of the plan geometry, so most gated
+fields reproduce bit-exactly; wall-clock figures are never compared, only
+held to their bars. A missing baseline marks its suite skipped — absent
+history is not drift.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
+import platform
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["run_checks", "format_report", "SUITES"]
+from repro.bench.suites import REGISTRY, Suite
 
-SUITES = ("serving", "single_pass", "serve", "obs_overhead", "restart",
-          "cluster", "adaptive")
+__all__ = ["SCHEMA", "SUITES", "run_suite", "run_checks", "format_report"]
+
+#: Version of the baseline envelope.
+SCHEMA = 1
+
+#: Registered suite names, in reporting order.
+SUITES = tuple(REGISTRY)
+
+_MISSING = object()
 
 
-class _Suite:
-    """Accumulates pass/fail facts for one baseline file."""
+def _suite(name: str) -> Suite:
+    if name not in REGISTRY:
+        raise ValueError(f"unknown bench suite {name!r}; known: {', '.join(SUITES)}")
+    return REGISTRY[name]
 
-    def __init__(self, name: str, path: Path):
-        self.name = name
-        self.path = path
-        self.checked = 0
-        self.failures: list[str] = []
 
-    def expect(self, ok: bool, message: str) -> None:
-        self.checked += 1
+def _env() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "machine": platform.machine(), "cpus": os.cpu_count()}
+
+
+def _bar_failures(bars, params: dict, payload: dict, where: str) -> list[str]:
+    """Check each bar on ``(params, payload)``; one message per failure."""
+    failures = []
+    for bar in bars:
+        try:
+            ok, why = bool(bar.check(params, payload)), "does not hold"
+        except Exception as exc:  # a bar over a malformed payload fails
+            ok, why = False, f"raised {type(exc).__name__}: {exc}"
         if not ok:
-            self.failures.append(message)
+            failures.append(f"{where}: bar `{bar.text}` {why}")
+    return failures
 
-    def expect_ratio(self, actual: float, recorded: float, what: str,
-                     rel_tol: float = 0.0) -> None:
-        """Compare a replayed value against the baseline.
 
-        ``rel_tol=0.0`` demands bit-exact reproduction (simulated time);
-        a positive tolerance admits benign re-association drift.
-        """
-        if recorded == 0.0:
-            self.expect(actual == 0.0, f"{what}: {actual!r} != recorded 0.0")
+def _leaves(tree, path: str):
+    """Yield ``(concrete path, value)`` pairs; ``*`` fans out over keys."""
+    def walk(node, parts, prefix):
+        if not parts:
+            yield prefix, node
             return
-        ratio = actual / recorded
-        self.expect(
-            abs(ratio - 1.0) <= rel_tol,
-            f"{what}: ratio {ratio!r} off 1.0 "
-            f"(replayed {actual!r}, recorded {recorded!r}, tol {rel_tol:g})",
-        )
-
-    def report(self) -> dict:
-        return {
-            "baseline": str(self.path),
-            "checked": self.checked,
-            "ok": not self.failures,
-            "failures": list(self.failures),
-        }
+        head, rest = parts[0], parts[1:]
+        if head == "*" and isinstance(node, (dict, list)):
+            keys = node if isinstance(node, dict) else range(len(node))
+            for key in keys:
+                yield from walk(node[key], rest, f"{prefix}.{key}".lstrip("."))
+        elif isinstance(node, dict) and head in node:
+            yield from walk(node[head], rest, f"{prefix}.{head}".lstrip("."))
+        else:
+            yield ".".join(filter(None, [prefix, *parts])), _MISSING
+    yield from walk(tree, path.split("."), "")
 
 
-def _load(path: Path) -> dict | None:
-    if not path.exists():
+def _lookup(tree, path: str):
+    for part in path.split("."):
+        if isinstance(tree, dict) and part in tree:
+            tree = tree[part]
+        elif isinstance(tree, list) and part.isdigit() and int(part) < len(tree):
+            tree = tree[int(part)]
+        else:
+            return _MISSING
+    return tree
+
+
+def _field_failure(path: str, tol: float | None, replayed, recorded) -> str | None:
+    if recorded is _MISSING or replayed is _MISSING:
+        side = "baseline" if recorded is _MISSING else "replay"
+        return f"{path}: missing from the {side}"
+    numeric = all(isinstance(v, (int, float)) for v in (replayed, recorded))
+    if tol is None or not numeric or recorded == 0.0:
+        if replayed == recorded:
+            return None
+        return f"{path}: replayed {replayed!r} != recorded {recorded!r}"
+    drift = abs(replayed / recorded - 1.0)
+    if drift <= tol:
         return None
-    return json.loads(path.read_text())
+    return (f"{path}: ratio {replayed / recorded!r} off 1.0 "
+            f"(replayed {replayed!r}, recorded {recorded!r}, tol {tol:g})")
 
 
-# ----------------------------------------------------------------- suites
+def run_suite(name: str, *, smoke: bool = False, write: bool = False,
+              repo_root: str | os.PathLike | None = None) -> dict:
+    """Run one suite; with ``write``, record it as the suite's baseline.
+
+    ``smoke`` swaps in the suite's smaller params and checks only the
+    size-independent ``bars``; a full run must also meet the
+    ``baseline_bars``. A baseline is written only from a full run that
+    meets every bar. Returns the envelope plus ``failures`` and
+    ``written`` (the baseline path, or ``None``).
+    """
+    suite = _suite(name)
+    if smoke and write:
+        raise ValueError("a smoke run is not a baseline; drop --smoke to --write")
+    params = json.loads(json.dumps({**suite.params, **(suite.smoke if smoke else {})}))
+    payload = suite.run(params)
+    bars = suite.bars if smoke else suite.bars + suite.baseline_bars
+    envelope = {"schema": SCHEMA, "suite": name, "params": params,
+                "env": _env() if suite.wall else None, "payload": payload}
+    failures = _bar_failures(bars, params, payload, f"{name} run")
+    written = None
+    if write and not failures:
+        root = Path(repo_root) if repo_root is not None else Path.cwd()
+        written = root / suite.baseline
+        written.write_text(json.dumps(envelope, indent=2) + "\n")
+    return {**envelope, "failures": failures,
+            "written": str(written) if written else None}
 
 
-def _check_serving(suite: _Suite, recorded: dict) -> None:
-    from repro.core.session import ScanSession
-    from repro.interconnect.topology import tsubame_kfc
-
-    rng = np.random.default_rng(7)
-    data = rng.integers(
-        -(2**20), 2**20, size=(recorded["G"], 1 << recorded["n_log2"])
-    ).astype(np.int64)
-    for proposal, row in recorded["proposals"].items():
-        spec = {k: row[k] for k in ("W", "V", "M")}
-        session = ScanSession(tsubame_kfc(spec["M"]))
-        result = session.scan(data, proposal=proposal, K="tune", **spec)
-        suite.expect_ratio(
-            result.trace.total_time(), row["simulated_time_s"],
-            f"serving {proposal} simulated_time_s",
-        )
-
-
-def _check_single_pass(suite: _Suite, recorded: dict) -> None:
-    from repro.baselines import LIGHTSCAN
-    from repro.core.params import ProblemConfig
-    from repro.core.single_gpu import ScanSP
-    from repro.core.single_pass import ScanSinglePassDLB
-    from repro.interconnect.topology import tsubame_kfc
-
-    machine = tsubame_kfc(1)
-    gpu = machine.gpus[0]
-    crossovers: dict[str, int | None] = {}
-    for key, points in recorded["series"].items():
-        dtype, g = key.split("|G")[0], int(key.split("|G")[1])
-        winners = []
-        for ref in points:
-            problem = ProblemConfig.from_sizes(
-                N=1 << ref["n_log2"], G=g, dtype=np.dtype(dtype)
-            )
-            sp = ScanSP(gpu).estimate(problem).total_time_s
-            dlb = ScanSinglePassDLB(gpu).estimate(problem).total_time_s
-            light, _ = LIGHTSCAN.time_batch(problem.N, g, machine.arch)
-            label = f"single_pass {key} n=2^{ref['n_log2']}"
-            suite.expect_ratio(sp, ref["sp_s"], f"{label} sp_s", rel_tol=1e-9)
-            suite.expect_ratio(dlb, ref["sp_dlb_s"], f"{label} sp_dlb_s",
-                               rel_tol=1e-9)
-            suite.expect_ratio(light, ref["lightscan_s"],
-                               f"{label} lightscan_s", rel_tol=1e-9)
-            winner = "sp-dlb" if dlb < sp else "sp"
-            winners.append(winner)
-            suite.expect(
-                winner == ref["winner"],
-                f"{label}: winner {winner} != recorded {ref['winner']}",
-            )
-        crossover = None
-        for i in range(len(winners)):
-            if all(w == "sp-dlb" for w in winners[i:]):
-                crossover = points[i]["n_log2"]
-                break
-        crossovers[key] = crossover
-    suite.expect(
-        crossovers == recorded["crossover_n_log2"],
-        f"single_pass crossover frontier {crossovers} != recorded "
-        f"{recorded['crossover_n_log2']}",
-    )
-
-
-def _check_serve(suite: _Suite, recorded: dict) -> None:
-    from repro.core.session import ScanSession
-    from repro.interconnect.topology import tsubame_kfc
-    from repro.serve import poisson_workload, replay, solo_baseline
-
-    requests = recorded["requests"]
-    size_log2 = recorded["size_log2"]
-    solo_by_rate: dict[float, float] = {}
-    for cell, row in recorded["cells"].items():
-        rate = row["rate_per_s"]
-        workload = poisson_workload(
-            requests, sizes_log2=(size_log2,), rate=rate, seed=11,
-        )
-        service = ScanSession(tsubame_kfc(1)).service(
-            max_batch=recorded["max_batch"], max_wait_s=1e-3,
-            proposal=row["proposal"], W=row["W"], V=row["W"],
-        )
-        coalesced = replay(service, workload)
-        suite.expect(
-            coalesced["verified"] == requests,
-            f"serve {cell}: only {coalesced['verified']}/{requests} verified",
-        )
-        suite.expect(
-            coalesced["batches"] == row["batches"],
-            f"serve {cell}: {coalesced['batches']} batches != "
-            f"recorded {row['batches']}",
-        )
-        suite.expect(
-            coalesced["padded_rows"] == row["padded_rows"],
-            f"serve {cell}: padded_rows {coalesced['padded_rows']} != "
-            f"recorded {row['padded_rows']}",
-        )
-        suite.expect_ratio(coalesced["mean_batch_size"],
-                           row["mean_batch_size"],
-                           f"serve {cell} mean_batch_size")
-        suite.expect_ratio(coalesced["coalesced_sim_s"],
-                           row["coalesced_sim_s"],
-                           f"serve {cell} coalesced_sim_s")
-        suite.expect_ratio(coalesced["latency"]["p50"], row["latency_p50_s"],
-                           f"serve {cell} latency_p50_s")
-        suite.expect_ratio(coalesced["latency"]["p95"], row["latency_p95_s"],
-                           f"serve {cell} latency_p95_s")
-        suite.expect_ratio(coalesced["total_queue_wait_s"],
-                           row["total_queue_wait_s"],
-                           f"serve {cell} total_queue_wait_s")
-        # The solo baseline's simulated time depends only on the request
-        # mix, not arrival times; compute it once per rate and compare.
-        if rate not in solo_by_rate:
-            solo_by_rate[rate] = solo_baseline(
-                ScanSession(tsubame_kfc(1)), workload
-            )["solo_sim_s"]
-        suite.expect_ratio(solo_by_rate[rate], row["solo_sim_s"],
-                           f"serve {cell} solo_sim_s")
-
-
-def _check_obs_overhead(suite: _Suite, recorded: dict) -> None:
-    ratio = recorded["enabled_ratio"]
-    budget = recorded["max_enabled_ratio"]
-    suite.expect(
-        math.isfinite(ratio) and ratio <= budget,
-        f"obs_overhead enabled_ratio {ratio!r} exceeds budget {budget!r}",
-    )
-    profile_ratio = recorded.get("profile_ratio")
-    if profile_ratio is not None:
-        profile_budget = recorded["max_profile_ratio"]
-        suite.expect(
-            math.isfinite(profile_ratio) and profile_ratio <= profile_budget,
-            f"obs_overhead profile_ratio {profile_ratio!r} exceeds "
-            f"budget {profile_budget!r}",
-        )
-
-
-def _check_restart(suite: _Suite, recorded: dict) -> None:
-    from repro.core.executor import PlanResolver, ScanExecutor
-    from repro.core.session import ScanSession
-    from repro.interconnect.topology import tsubame_kfc
-    from repro.serve import poisson_workload, replay
-
-    # Wall-clock half: the recorded speedup against its recorded floor.
-    speedup = recorded["first_request_speedup"]
-    floor = recorded["min_first_request_speedup"]
-    suite.expect(
-        math.isfinite(speedup) and speedup >= floor,
-        f"restart first_request_speedup {speedup!r} below floor {floor!r}",
-    )
-    suite.expect(
-        recorded["restored_resolver_misses"] == 0,
-        f"restart recorded {recorded['restored_resolver_misses']} "
-        "resolver misses on the restored replay (want 0)",
-    )
-    suite.expect(
-        recorded.get("identical_traces") is True,
-        "restart baseline recorded non-identical cold vs restored traces",
-    )
-
-    # Determinism half, re-run live: cold replay -> snapshot -> restore
-    # into a fresh resolver -> the restored replay must reproduce the
-    # cold one bit-identically with zero misses and zero sweeps.
-    workload = poisson_workload(
-        recorded["requests"],
-        sizes_log2=tuple(recorded["sizes_log2"]),
-        rate=recorded["rate_per_s"],
-        seed=recorded["seed"],
-    )
-    original_resolver = ScanExecutor.resolver
+def _check(suite: Suite, recorded: dict) -> tuple[int, list[str]]:
+    """Gate one baseline envelope; returns (checks made, failures)."""
+    if (not isinstance(recorded, dict) or recorded.get("schema") != SCHEMA
+            or recorded.get("suite") != suite.name):
+        return 1, [f"{suite.baseline} is not a schema-{SCHEMA} envelope for "
+                   f"suite {suite.name!r}"]
+    params, payload = recorded["params"], recorded["payload"]
+    bars = suite.bars + suite.baseline_bars
+    failures = _bar_failures(bars, params, payload, f"{suite.name} baseline")
+    checked = len(bars)
+    if not (suite.fields or suite.bars):
+        return checked, failures
     try:
-        def _run(snapshot=None):
-            topology = tsubame_kfc(1)
-            topology.enable_buffer_pooling()
-            ScanExecutor.resolver = PlanResolver()
-            session = ScanSession(topology, autotune_cache=None,
-                                  snapshot=snapshot)
-            service = session.service(max_batch=8, proposal="auto", K="tune")
-            stats = replay(service, workload)
-            return session, service, stats
-
-        cold_session, cold_service, cold_stats = _run()
-        snapshot = cold_session.snapshot()
-        restored_session, restored_service, restored_stats = _run(
-            snapshot=snapshot
-        )
-        suite.expect(
-            restored_session.tuner.cache.misses == 0,
-            f"restart restored replay re-tuned: "
-            f"{restored_session.tuner.cache.misses} tuner sweeps (want 0)",
-        )
-        suite.expect(
-            restored_stats["verified"] == recorded["requests"],
-            f"restart replay: only {restored_stats['verified']}/"
-            f"{recorded['requests']} verified",
-        )
-        suite.expect(
-            ScanExecutor.resolver.misses == 0,
-            f"restart restored replay re-planned: "
-            f"{ScanExecutor.resolver.misses} resolver misses (want 0)",
-        )
-        cold_batches = [b.sim_time_s for b in cold_service.batches]
-        restored_batches = [b.sim_time_s for b in restored_service.batches]
-        suite.expect(
-            cold_batches == restored_batches,
-            "restart restored replay diverged from cold "
-            f"({len(restored_batches)} batches vs {len(cold_batches)})",
-        )
-        suite.expect_ratio(
-            sum(restored_batches), sum(cold_batches),
-            "restart restored vs cold total simulated time",
-        )
-        # Latency percentiles compare restored-vs-cold from the live
-        # replays (the benchmark's timed protocol flushes its first
-        # request early, so its recorded distribution is not this one).
-        suite.expect_ratio(
-            restored_stats["latency"]["p50"],
-            cold_stats["latency"]["p50"],
-            "restart restored vs cold latency_p50_s",
-        )
-        suite.expect_ratio(
-            restored_stats["latency"]["p99"],
-            cold_stats["latency"]["p99"],
-            "restart restored vs cold latency_p99_s",
-        )
-    finally:
-        ScanExecutor.resolver = original_resolver
-
-
-def _check_cluster(suite: _Suite, recorded: dict) -> None:
-    from repro.cluster import ClusterRouter, cluster_replay
-    from repro.serve import poisson_workload
-
-    def _workload():
-        return poisson_workload(
-            recorded["requests"],
-            sizes_log2=tuple(recorded["sizes_log2"]),
-            rate=recorded["rate_per_s"],
-            seed=recorded["seed"],
-        )
-
-    def _router(replicas: int, **kwargs) -> ClusterRouter:
-        kwargs.setdefault("policy", recorded["policy"])
-        kwargs.setdefault("max_batch", recorded["max_batch"])
-        kwargs.setdefault("max_wait_s", recorded["max_wait_s"])
-        return ClusterRouter(replicas=replicas, **kwargs)
-
-    exact_keys = ("served", "request_failures", "rejected", "verified",
-                  "rerouted", "drains", "readmits")
-    ratio_keys = ("makespan_s", "throughput_rps", "latency_p50_s",
-                  "latency_p95_s", "latency_p99_s", "latency_mean_s",
-                  "latency_max_s")
-
-    def _compare(summary: dict, row: dict, label: str) -> None:
-        for key in exact_keys:
-            suite.expect(
-                summary[key] == row[key],
-                f"cluster {label} {key}: {summary[key]!r} != "
-                f"recorded {row[key]!r}",
-            )
-        for key in ratio_keys:
-            suite.expect_ratio(summary[key], row[key],
-                               f"cluster {label} {key}")
-
-    for n in recorded["replica_counts"]:
-        summary = cluster_replay(_router(n), _workload())
-        _compare(summary, recorded["scaling"][str(n)], f"{n} replicas")
-
-    base = recorded["scaling"][str(recorded["replica_counts"][0])]
-    wide = recorded["scaling"][str(max(recorded["replica_counts"]))]
-    p99_improvement = base["latency_p99_s"] / wide["latency_p99_s"]
-    throughput_gain = wide["throughput_rps"] / base["throughput_rps"]
-    suite.expect(
-        p99_improvement > 1.0 or throughput_gain >= 2.0,
-        f"cluster replication buys nothing in the recorded baseline: "
-        f"p99 {p99_improvement:.3f}x, throughput {throughput_gain:.3f}x",
-    )
-
-    # Chaos half, re-run live twice: drain/re-admit under traffic must
-    # lose nothing and must reproduce itself (and the baseline) exactly.
-    chaos = recorded["chaos"]
-
-    def _chaos_run():
-        router = _router(chaos["replicas"], recovery_s=chaos["recovery_s"])
-        summary = cluster_replay(
-            router, _workload(),
-            fail_replica_at=chaos["fail_replica_at_s"], fail_replica_id=0,
-        )
-        return summary, list(router.batch_log)
-
-    first, log_first = _chaos_run()
-    second, log_second = _chaos_run()
-    suite.expect(
-        first == second and log_first == log_second,
-        "cluster chaos replay is not deterministic: repeated run diverged",
-    )
-    lost = recorded["requests"] - (first["served"]
-                                   + first["request_failures"]
-                                   + first["rejected"])
-    suite.expect(lost == 0, f"cluster chaos replay lost {lost} requests")
-    _compare(first, chaos["summary"], "chaos")
-    suite.expect(
-        len(log_first) == chaos["batch_log_len"],
-        f"cluster chaos batch log has {len(log_first)} entries, "
-        f"recorded {chaos['batch_log_len']}",
-    )
-
-
-def _check_adaptive(suite: _Suite, recorded: dict) -> None:
-    from repro.control.ab import run_ab
-
-    report = run_ab(recorded["params"], repeats=2)
-    suite.expect(
-        report["deterministic"],
-        "adaptive A/B replay is not bit-identical across repeats",
-    )
-    exact_keys = ("served", "failed", "verified", "batches",
-                  "decisions", "decision_digest", "final_max_batch")
-    ratio_keys = ("mean_batch_size", "latency_p50_s", "latency_p99_s",
-                  "total_exec_s", "final_max_wait_s")
-    for workload in ("bursty", "steady"):
-        for arm in ("static", "adaptive"):
-            cell = report[workload][arm]
-            row = recorded[workload][arm]
-            label = f"adaptive {workload}/{arm}"
-            for key in exact_keys:
-                suite.expect(
-                    cell[key] == row[key],
-                    f"{label} {key}: {cell[key]!r} != recorded {row[key]!r}",
-                )
-            for key in ratio_keys:
-                suite.expect_ratio(cell[key], row[key], f"{label} {key}")
-    suite.expect_ratio(
-        report["bursty"]["p99_improvement"],
-        recorded["bursty"]["p99_improvement"],
-        "adaptive bursty p99_improvement",
-    )
-    suite.expect_ratio(
-        report["steady"]["p99_ratio"], recorded["steady"]["p99_ratio"],
-        "adaptive steady p99_ratio",
-    )
-    # The bars the baseline was accepted under must still hold.
-    suite.expect(
-        report["bursty"]["p99_improvement"] >= 1.3,
-        f"adaptive burst win {report['bursty']['p99_improvement']:.2f}x "
-        "fell below the 1.3x acceptance bar",
-    )
-    suite.expect(
-        report["steady"]["p99_ratio"] <= 1.05,
-        f"adaptive steady ratio {report['steady']['p99_ratio']:.3f}x "
-        "exceeds the 1.05x acceptance bar",
-    )
-
-
-_CHECKERS = {
-    "serving": ("BENCH_serving.json", _check_serving),
-    "single_pass": ("BENCH_single_pass.json", _check_single_pass),
-    "serve": ("BENCH_serve.json", _check_serve),
-    "obs_overhead": ("BENCH_obs_overhead.json", _check_obs_overhead),
-    "restart": ("BENCH_restart.json", _check_restart),
-    "cluster": ("BENCH_cluster.json", _check_cluster),
-    "adaptive": ("BENCH_adaptive.json", _check_adaptive),
-}
-
-
-# ------------------------------------------------------------------ driver
+        replayed = suite.run(json.loads(json.dumps(params)))
+    except Exception as exc:
+        return checked + 1, failures + [
+            f"{suite.name} replay raised {type(exc).__name__}: {exc}"]
+    for field in suite.fields:
+        for path, value in _leaves(payload, field.path):
+            checked += 1
+            failure = _field_failure(path, field.tol, _lookup(replayed, path), value)
+            if failure:
+                failures.append(f"{suite.name} {failure}")
+    failures += _bar_failures(suite.bars, params, replayed, f"{suite.name} replay")
+    return checked + len(suite.bars), failures
 
 
 def run_checks(repo_root: str | os.PathLike | None = None,
                only: list[str] | tuple[str, ...] | None = None) -> dict:
-    """Run the drift gates; returns a JSON-friendly report.
+    """Run the drift gate; returns a JSON-friendly report.
 
     ``repo_root`` is the directory holding the ``BENCH_*.json`` baselines
-    (default: the current working directory). ``only`` restricts to a
-    subset of :data:`SUITES`. A missing baseline file marks its suite
-    ``"skipped"`` — absent history is not drift.
+    (default: the current working directory). ``only`` restricts the
+    gate to a subset of :data:`SUITES`.
     """
     root = Path(repo_root) if repo_root is not None else Path.cwd()
-    names = tuple(only) if only else SUITES
-    for name in names:
-        if name not in _CHECKERS:
-            raise ValueError(f"unknown bench suite {name!r}; "
-                             f"known: {', '.join(SUITES)}")
-    suites: dict[str, dict] = {}
-    for name in names:
-        filename, checker = _CHECKERS[name]
-        path = root / filename
-        recorded = _load(path)
-        if recorded is None:
-            suites[name] = {"baseline": str(path), "skipped": True,
-                            "checked": 0, "ok": True, "failures": []}
+    suites = [_suite(name) for name in (only or SUITES)]
+    report: dict[str, dict] = {}
+    for suite in suites:
+        path = root / suite.baseline
+        if not path.exists():
+            report[suite.name] = {"baseline": str(path), "skipped": True,
+                                  "checked": 0, "ok": True, "failures": []}
             continue
-        suite = _Suite(name, path)
-        checker(suite, recorded)
-        suites[name] = suite.report()
-    return {
-        "ok": all(s["ok"] for s in suites.values()),
-        "root": str(root),
-        "suites": suites,
-    }
+        checked, failures = _check(suite, json.loads(path.read_text()))
+        report[suite.name] = {"baseline": str(path), "checked": checked,
+                              "ok": not failures, "failures": failures}
+    return {"ok": all(s["ok"] for s in report.values()), "root": str(root),
+            "suites": report}
 
 
 def format_report(report: dict) -> str:
     lines = [f"bench check against baselines in {report['root']}:"]
     for name, suite in report["suites"].items():
         if suite.get("skipped"):
-            lines.append(f"  {name:>12}: skipped (no "
-                         f"{Path(suite['baseline']).name})")
+            lines.append(f"  {name:>12}: skipped (no {Path(suite['baseline']).name})")
             continue
         verdict = "ok" if suite["ok"] else "DRIFTED"
         lines.append(f"  {name:>12}: {verdict} ({suite['checked']} checks)")

@@ -260,24 +260,35 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="emit the report as JSON")
     cl.add_argument("--seed", type=int, default=0)
 
+    from repro.bench.regression import SUITES
+
     bc = sub.add_parser(
         "bench",
-        help="benchmark tooling: `repro bench check` compares committed "
-        "BENCH_*.json baselines against a deterministic re-run within "
-        "tolerances (the CI drift gate)",
+        help="bench suites: `repro bench run SUITE` runs one registered "
+        "suite (`--write` records its BENCH_*.json baseline); "
+        "`repro bench check` replays every baseline's recorded params and "
+        "gates the result (the CI drift gate)",
     )
-    bc.add_argument("action", choices=["check"],
-                    help="check: re-run the deterministic benchmark replays "
-                    "and compare against the committed BENCH_*.json files")
-    bc.add_argument("--repo-root", default=None, metavar="DIR",
-                    help="directory holding the BENCH_*.json baselines "
-                    "(default: the repository root)")
-    bc.add_argument("--only", action="append", default=[],
-                    choices=["serving", "single_pass", "serve", "obs_overhead",
-                             "restart", "cluster", "adaptive"],
-                    help="restrict the check to one suite (repeatable)")
-    bc.add_argument("--json", action="store_true",
-                    help="emit the check report as JSON")
+    bench = bc.add_subparsers(dest="action", required=True)
+    bcheck = bench.add_parser(
+        "check", help="replay the committed BENCH_*.json baselines and gate "
+        "each suite's fields and bars")
+    bcheck.add_argument("--only", action="append", default=[], choices=SUITES,
+                        help="restrict the check to one suite (repeatable)")
+    bcheck.add_argument("--repo-root", default=None, metavar="DIR",
+                        help="directory holding the BENCH_*.json baselines "
+                        "(default: the current directory)")
+    bcheck.add_argument("--json", action="store_true",
+                        help="emit the check report as JSON")
+    brun = bench.add_parser(
+        "run", help="run one suite, print its table and check its bars")
+    brun.add_argument("suite", choices=SUITES)
+    mode = brun.add_mutually_exclusive_group()
+    mode.add_argument("--smoke", action="store_true",
+                      help="the suite's smaller params; size-independent bars only")
+    mode.add_argument("--write", action="store_true",
+                      help="record the run as the suite's baseline in the "
+                      "current directory (only if every bar holds)")
 
     ct = sub.add_parser(
         "control",
@@ -872,17 +883,23 @@ def _cmd_breakdown(total: int) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    """Tolerance-gated benchmark regression check (`repro bench check`)."""
-    from repro.bench.regression import format_report, run_checks
+    """Run one bench suite, or gate every baseline (`repro bench ...`)."""
+    import json
 
-    report = run_checks(repo_root=args.repo_root, only=args.only or None)
-    if args.json:
-        import json
+    from repro.bench.regression import format_report, run_checks, run_suite
+    from repro.bench.suites import REGISTRY
 
-        print(json.dumps(report, indent=2))
-    else:
-        print(format_report(report))
-    return 0 if report["ok"] else 1
+    if args.action == "check":
+        report = run_checks(repo_root=args.repo_root, only=args.only or None)
+        print(json.dumps(report, indent=2) if args.json else format_report(report))
+        return 0 if report["ok"] else 1
+    result = run_suite(args.suite, smoke=args.smoke, write=args.write)
+    print(REGISTRY[args.suite].table(result["params"], result["payload"]))
+    for failure in result["failures"]:
+        print(f"  ! {failure}")
+    if result["written"]:
+        print(f"wrote {result['written']}")
+    return 1 if result["failures"] else 0
 
 
 def _cmd_control(args: argparse.Namespace) -> int:

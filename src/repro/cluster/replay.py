@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import BackpressureError, ConfigurationError
-from repro.serve.replay import Request, _oracle, poisson_workload  # noqa: F401
-from repro.cluster.router import ClusterRouter, ClusterTicket
+from repro.errors import ConfigurationError
+from repro.serve.replay import Request, drive
+from repro.cluster.router import ClusterRouter
 from repro.cluster.tenants import DEFAULT_TENANT
 
 __all__ = ["cluster_replay"]
@@ -44,68 +44,55 @@ def cluster_replay(
     if not tenants:
         raise ConfigurationError("tenants must name at least one tenant")
     failed_yet = fail_replica_at is None
-    tickets: list[tuple[Request, ClusterTicket]] = []
-    rejected = 0
-    for i, req in enumerate(sorted(workload, key=lambda r: r.at_s)):
+
+    def submit(i: int, req: Request):
+        nonlocal failed_yet
         if not failed_yet and req.at_s >= fail_replica_at:
             router.fail_replica(fail_replica_id, at=fail_replica_at)
             failed_yet = True
-        try:
-            ticket = router.submit(
-                req.data, operator=req.operator, inclusive=req.inclusive,
-                at=req.at_s, tenant=tenants[i % len(tenants)],
-            )
-        except BackpressureError:
-            rejected += 1
-            continue
-        tickets.append((req, ticket))
-    if not failed_yet:
-        router.fail_replica(fail_replica_id, at=fail_replica_at)
-    router.drain_queues()
-    # A mid-drain eviction (or an all-replicas-down window) can leave
-    # requests parked or re-queued; walk recovery windows until every
-    # ticket is terminal. Bounded: parked requests only exist while a
-    # replica is down, and re-admission is a fixed recovery_s away.
-    for _ in range(max_recovery_waits):
-        if all(t.terminal for _, t in tickets):
-            break
-        router.advance(router.recovery_s)
-        router.drain_queues()
-    # End the scenario at full strength: if a replica is still down,
-    # walk its recovery window so it re-admits (from the leader's
-    # snapshot) before we summarise.
-    for _ in range(max_recovery_waits):
-        if all(r.state == "active" for r in router.replicas):
-            break
-        router.advance(router.recovery_s)
-    unfinished = sum(1 for _, t in tickets if not t.terminal)
-    if unfinished:
-        raise ConfigurationError(
-            f"{unfinished} requests still unfinished after "
-            f"{max_recovery_waits} recovery windows — lost requests"
+        return router.submit(
+            req.data, operator=req.operator, inclusive=req.inclusive,
+            at=req.at_s, tenant=tenants[i % len(tenants)],
         )
-    verified = 0
-    failures = 0
-    latencies = []
-    completions = []
-    for req, ticket in tickets:
-        if ticket.failed:
-            failures += 1
-            continue
-        if verify:
-            np.testing.assert_array_equal(ticket.result(), _oracle(req))
-            verified += 1
-        latencies.append(ticket.latency_s)
-        completions.append(ticket.completion_s)
-    lat = np.asarray(latencies, dtype=np.float64)
-    served = len(latencies)
-    makespan = max(completions) if completions else 0.0
+
+    def drain(tickets) -> None:
+        if not failed_yet:
+            router.fail_replica(fail_replica_id, at=fail_replica_at)
+        router.drain_queues()
+        # A mid-drain eviction (or an all-replicas-down window) can leave
+        # requests parked or re-queued; walk recovery windows until every
+        # ticket is terminal. Bounded: parked requests only exist while a
+        # replica is down, and re-admission is a fixed recovery_s away.
+        for _ in range(max_recovery_waits):
+            if all(t.terminal for _, t in tickets):
+                break
+            router.advance(router.recovery_s)
+            router.drain_queues()
+        # End the scenario at full strength: if a replica is still down,
+        # walk its recovery window so it re-admits (from the leader's
+        # snapshot) before we summarise.
+        for _ in range(max_recovery_waits):
+            if all(r.state == "active" for r in router.replicas):
+                break
+            router.advance(router.recovery_s)
+        unfinished = sum(1 for _, t in tickets if not t.terminal)
+        if unfinished:
+            raise ConfigurationError(
+                f"{unfinished} requests still unfinished after "
+                f"{max_recovery_waits} recovery windows — lost requests"
+            )
+
+    run = drive(workload, submit, drain, verify=verify)
+    done = [t for _, t in run.tickets if not t.failed]
+    lat = np.asarray([t.latency_s for t in done], dtype=np.float64)
+    served = len(done)
+    makespan = max((t.completion_s for t in done), default=0.0)
     summary = {
         "requests": len(workload),
         "served": served,
-        "request_failures": failures,
-        "rejected": rejected,
-        "verified": verified,
+        "request_failures": run.failures,
+        "rejected": run.rejected,
+        "verified": run.verified,
         "rerouted": router.rerouted,
         "drains": router.drains,
         "readmits": router.readmits,

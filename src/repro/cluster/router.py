@@ -132,11 +132,15 @@ class ClusterTicket:
 class Replica:
     """One service shard and its cluster-side health bookkeeping."""
 
-    __slots__ = ("id", "service", "state", "strikes", "down_since_s")
+    __slots__ = ("id", "service", "state", "strikes", "down_since_s",
+                 "retired_served", "retired_failed")
 
     def __init__(self, rid: int, service: ScanService):
         self.id = rid
         self.service = service
+        #: Counts of the services this replica retired on re-admission.
+        self.retired_served = 0
+        self.retired_failed = 0
         #: "active" | "down"
         self.state = "active"
         #: Consecutive FailoverExhaustedError count (reset on success).
@@ -619,6 +623,8 @@ class ClusterRouter:
             service.clock.advance_to(self.clock.now)
             old = replica.service
             self._service_rid.pop(id(old), None)
+            replica.retired_served += old.served
+            replica.retired_failed += old.failed
             replica.service = service
             self._service_rid[id(service)] = rid
             replica.state = "active"
@@ -650,8 +656,10 @@ class ClusterRouter:
             "parked": self.parked,
             "drains": self.drains,
             "readmits": self.readmits,
-            "served": sum(r.service.served for r in self._replicas),
-            "failed": sum(r.service.failed for r in self._replicas),
+            "served": sum(r.retired_served + r.service.served
+                          for r in self._replicas),
+            "failed": sum(r.retired_failed + r.service.failed
+                          for r in self._replicas),
             "batches": len(self.batch_log),
             "latency": self.latency.summary(),
             "per_replica": [
@@ -659,8 +667,8 @@ class ClusterRouter:
                     "id": r.id,
                     "state": r.state,
                     "strikes": r.strikes,
-                    "served": r.service.served,
-                    "failed": r.service.failed,
+                    "served": r.retired_served + r.service.served,
+                    "failed": r.retired_failed + r.service.failed,
                     "depth": r.service.depth,
                     "burn_bucket": self._burn_bucket(r.id),
                     "decisions": (len(r.service.controller.decisions)

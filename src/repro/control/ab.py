@@ -1,11 +1,11 @@
-"""The adaptive-vs-static A/B replay: one driver for bench, CLI and gate.
+"""The adaptive-vs-static A/B replay: one driver for bench suite and CLI.
 
-``benchmarks/bench_adaptive.py`` proves the controllers earn their keep,
-``repro control`` demos the same comparison interactively, and the
-``adaptive`` suite of ``repro bench check`` replays it as a drift gate.
-All three call :func:`run_ab` with one parameter dict (committed
-verbatim into ``BENCH_adaptive.json``), so there is exactly one
-definition of the experiment:
+The ``adaptive`` bench suite (:mod:`repro.bench.suites`) proves the
+controllers earn their keep and ``repro bench check`` replays it as a
+drift gate; ``repro control`` demos the same comparison interactively.
+Both call :func:`run_ab` with one parameter dict (recorded verbatim as
+``BENCH_adaptive.json``'s params), so there is exactly one definition of
+the experiment:
 
 - a **bursty** Poisson workload (calm base-rate traffic with periodic
   high-rate bursts) plus a mid-run device loss, replayed through a

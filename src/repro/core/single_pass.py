@@ -18,7 +18,8 @@ at small N (fixed protocol cost dominates) and wins at large N (saved
 memory pass dominates). That crossover is exactly what
 ``PremiseTuner.tune_single_gpu_variant`` measures and the autotune cache
 memoises; sessions resolve ``proposal="auto"`` through it so callers get
-the winner transparently (see ``benchmarks/bench_single_pass.py``).
+the winner transparently (see the ``single_pass`` bench suite in
+:mod:`repro.bench.suites`).
 
 The executor shares the :class:`~repro.core.executor.PlanResolver` /
 :class:`~repro.core.executor.Placement` machinery: its plan spec is

@@ -36,6 +36,7 @@ invariant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -77,6 +78,9 @@ CATEGORIES = (
 COMMUNICATION_CATEGORIES = frozenset(
     {"h2d", "d2h", "p2p", "host_staged", "local", "mpi", "backoff"}
 )
+
+#: Bound on the one-ulp walk :func:`_reconcile` falls back to.
+_NEXTAFTER_STEPS = 1 << 12
 
 
 def _attributions(rec) -> tuple[tuple[str, float], ...]:
@@ -241,6 +245,27 @@ def _reconcile(categories: dict[str, float], total: float) -> None:
             categories[target] = before
         if not changed:  # pragma: no cover - residual below every ulp
             break
+    # The fold can stall on a one-ulp residual: adding it to a bucket
+    # rounds the running sum past the total one way, then back the other.
+    # Walk one bucket at a time toward the total, one ulp per step,
+    # finest ulp (smallest non-zero bucket) first. The left-to-right sum
+    # is monotone in each term, so a walk either lands on the total or
+    # steps over it (a round-half-even tie further down the sum can pair
+    # values up); a bucket that steps over is restored and the next one
+    # tried.
+    for target in sorted((c for c in order if categories[c] != 0.0),
+                         key=lambda c: (abs(categories[c]), c)):
+        before = categories[target]
+        direction = total - sum(categories[c] for c in order)
+        for _ in range(_NEXTAFTER_STEPS):
+            residual = total - sum(categories[c] for c in order)
+            if residual == 0.0:
+                return
+            if (residual > 0.0) != (direction > 0.0):
+                break
+            categories[target] = math.nextafter(
+                categories[target], math.copysign(math.inf, residual))
+        categories[target] = before
     raise AssertionError(
         f"category reconciliation failed: residual "
         f"{total - sum(categories[c] for c in order)!r} against {total!r}"

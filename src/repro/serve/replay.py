@@ -3,15 +3,19 @@
 A replay is a deterministic list of ``(arrival_s, data)`` requests — a
 seeded Poisson process over a size mix by default — submitted to the
 service in timestamp order, drained, verified against the sequential
-oracle and summarised. The same schedule can also be served *solo* (one
-``session.scan`` per request, no coalescing), which is the baseline the
-coalescing speedup is measured against: identical work, identical
-machine, only the front door differs.
+oracle and summarised. :func:`drive` is that submit/drain/verify loop;
+every replay (this module's, the cluster's, the A/B arms and the restart
+bench suite) runs through it and keeps only its own summary arithmetic.
+The same schedule can also be served *solo* (one ``session.scan`` per
+request, no coalescing), which is the baseline the coalescing speedup is
+measured against: identical work, identical machine, only the front door
+differs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
@@ -21,8 +25,8 @@ from repro.primitives.sequential import exclusive_scan, inclusive_scan
 from repro.serve.service import ScanService, SubmitResult
 from repro.util.ints import next_power_of_two
 
-__all__ = ["Request", "poisson_workload", "bursty_workload", "replay",
-           "solo_baseline"]
+__all__ = ["Request", "Drive", "poisson_workload", "bursty_workload", "drive",
+           "submit_to", "replay", "solo_baseline"]
 
 
 @dataclass(frozen=True)
@@ -118,6 +122,58 @@ def _oracle(req: Request) -> np.ndarray:
     return scan(req.data, op=req.operator)
 
 
+@dataclass
+class Drive:
+    """What :func:`drive` saw: the accepted tickets and the tallies."""
+
+    tickets: list[tuple[Request, Any]]
+    rejected: int
+    failures: int
+    verified: int
+
+
+def drive(
+    workload: list[Request],
+    submit: Callable[[int, Request], Any],
+    drain: Callable[[list[tuple[Request, Any]]], None],
+    verify: bool = True,
+) -> Drive:
+    """Submit in arrival order, drain, verify against the sequential oracle.
+
+    ``submit(i, req)`` hands the ``i``-th request (in arrival order) to
+    the front door and returns its ticket; a :class:`BackpressureError`
+    counts as a rejection, not a failure. ``drain(tickets)`` then runs
+    every accepted ticket to a terminal state. With ``verify`` each
+    ticket that did not fail is checked against
+    :mod:`repro.primitives.sequential` — a front door must be
+    output-invisible.
+    """
+    tickets: list[tuple[Request, Any]] = []
+    rejected = 0
+    for i, req in enumerate(sorted(workload, key=lambda r: r.at_s)):
+        try:
+            tickets.append((req, submit(i, req)))
+        except BackpressureError:
+            rejected += 1
+    drain(tickets)
+    failures = verified = 0
+    for req, ticket in tickets:
+        if ticket.failed:
+            failures += 1
+        elif verify:
+            np.testing.assert_array_equal(ticket.result(), _oracle(req))
+            verified += 1
+    return Drive(tickets, rejected, failures, verified)
+
+
+def submit_to(service: ScanService) -> Callable[[int, Request], SubmitResult]:
+    """The :func:`drive` submit hook for one :class:`ScanService`."""
+    def submit(_: int, req: Request) -> SubmitResult:
+        return service.submit(req.data, operator=req.operator,
+                              inclusive=req.inclusive, at=req.at_s)
+    return submit
+
+
 def replay(
     service: ScanService,
     workload: list[Request],
@@ -127,8 +183,7 @@ def replay(
 
     Rejected requests (backpressure) are counted, not raised. With
     ``verify`` every completed request is checked against
-    :mod:`repro.primitives.sequential` — the service is a front-end and
-    must be output-invisible.
+    :mod:`repro.primitives.sequential` (see :func:`drive`).
 
     The summary reports **per-run deltas**, not the service's lifetime
     counters: replaying twice on the same service (the restart/cluster
@@ -139,48 +194,19 @@ def replay(
     (:attr:`SubmitResult.seq`), so a replay on a *fresh* service is
     bit-identical to the lifetime summary it used to report.
     """
+    deltas = ("submitted", "served", "failed", "rejected", "evicted",
+              "splits", "padded_rows", "total_queue_wait_s",
+              "total_exec_wait_s", "total_exec_s", "total_latency_s")
     # Counter/total baseline so the summary can report this run only.
-    base = {
-        "submitted": service.submitted,
-        "served": service.served,
-        "failed": service.failed,
-        "rejected": service.rejected,
-        "evicted": service.evicted,
-        "splits": service.splits,
-        "padded_rows": service.padded_rows,
-        "batches": len(service.batches),
-        "total_queue_wait_s": service.total_queue_wait_s,
-        "total_exec_wait_s": service.total_exec_wait_s,
-        "total_exec_s": service.total_exec_s,
-        "total_latency_s": service.total_latency_s,
-    }
-    tickets: list[tuple[Request, SubmitResult]] = []
-    rejected = 0
-    for req in sorted(workload, key=lambda r: r.at_s):
-        try:
-            ticket = service.submit(req.data, operator=req.operator,
-                                    inclusive=req.inclusive, at=req.at_s)
-        except BackpressureError:
-            rejected += 1
-            continue
-        tickets.append((req, ticket))
-    service.drain()
-    verified = 0
-    failures = 0
-    for req, ticket in tickets:
-        if ticket.failed:
-            failures += 1
-            continue
-        if verify:
-            np.testing.assert_array_equal(ticket.result(), _oracle(req))
-            verified += 1
+    base = {name: getattr(service, name) for name in deltas}
+    base_batches = len(service.batches)
+    run = drive(workload, submit_to(service), lambda _: service.drain(),
+                verify=verify)
     stats = service.stats()
-    # Per-run deltas over the baseline.
-    for name in ("submitted", "served", "failed", "rejected", "evicted",
-                 "splits", "padded_rows", "batches", "total_queue_wait_s",
-                 "total_exec_wait_s", "total_exec_s", "total_latency_s"):
+    for name in deltas:
         stats[name] = stats[name] - base[name]
-    run_batches = service.batches[base["batches"]:]
+    run_batches = service.batches[base_batches:]
+    stats["batches"] = len(run_batches)
     stats["mean_batch_size"] = (stats["served"] / len(run_batches)
                                 if run_batches else 0.0)
     # Rebuild the distributions from this run's terminal tickets, in the
@@ -188,7 +214,7 @@ def replay(
     # terminal-order stamp), so the summaries reproduce bit-identically.
     latency = Histogram("serve.latency_s")
     for _, ticket in sorted(
-        (pair for pair in tickets if pair[1].status in ("done", "failed")),
+        (pair for pair in run.tickets if pair[1].status in ("done", "failed")),
         key=lambda pair: pair[1].seq,
     ):
         latency.observe(ticket.latency_s)
@@ -199,9 +225,9 @@ def replay(
     stats["batch_size"] = batch_size.summary()
     stats.update({
         "requests": len(workload),
-        "rejected_by_backpressure": rejected,
-        "request_failures": failures,
-        "verified": verified,
+        "rejected_by_backpressure": run.rejected,
+        "request_failures": run.failures,
+        "verified": run.verified,
         # Makespan of the executor: coalesced batches run back to back.
         "coalesced_sim_s": stats["total_exec_s"],
     })

@@ -72,5 +72,20 @@ def fresh_resolver():
         ScanExecutor.resolver = original
 
 
+@pytest.fixture
+def untimed_restart_floor(monkeypatch):
+    """Hold live replays of the ``restart`` bench suite to a 0x floor.
+
+    The suite re-times a wall-clock first-request speedup against its
+    2.0x floor, which a loaded test host misses on roughly 1% of replays.
+    Tests that replay the suite for its deterministic fields use this
+    fixture; the committed baseline keeps its recorded 2.0x floor, and
+    the CI bench step (``repro bench check``) holds live replays to it.
+    """
+    from repro.bench import suites
+
+    monkeypatch.setattr(suites, "MIN_FIRST_REQUEST_SPEEDUP", 0.0)
+
+
 def random_batch(rng, g, n, dtype=np.int32, low=0, high=100) -> np.ndarray:
     return rng.integers(low, high, (g, n)).astype(dtype)

@@ -286,11 +286,35 @@ class TestBenchCheck:
         with pytest.raises(SystemExit):
             main(["bench", "check", "--only", "warp-drive"])
 
+    @pytest.mark.usefixtures("untimed_restart_floor")
     def test_restart_suite_registered(self, capsys):
         assert main(["bench", "check", "--repo-root", self._root(),
                      "--only", "restart"]) == 0
         out = capsys.readouterr().out
         assert "restart: ok" in out and "bench check: PASS" in out
+
+
+class TestBenchRun:
+    def test_smoke_run_prints_table(self, capsys):
+        assert main(["bench", "run", "serve", "--smoke"]) == 0
+        out = capsys.readouterr().out
+        assert "Coalescing service, 16 requests" in out and "wrote" not in out
+
+    def test_smoke_and_write_are_exclusive(self):
+        with pytest.raises(SystemExit):
+            main(["bench", "run", "serve", "--smoke", "--write"])
+
+    def test_write_records_a_baseline_the_check_accepts(self, tmp_path, capsys,
+                                                       monkeypatch):
+        import json
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "run", "single_pass", "--write"]) == 0
+        assert "wrote" in capsys.readouterr().out
+        envelope = json.loads((tmp_path / "BENCH_single_pass.json").read_text())
+        assert envelope["suite"] == "single_pass"
+        assert main(["bench", "check", "--repo-root", str(tmp_path),
+                     "--only", "single_pass"]) == 0
 
 
 class TestControl:

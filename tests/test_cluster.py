@@ -285,6 +285,21 @@ class TestClusterReplay:
         assert log1 == log2
         assert s1 == s2
 
+    def test_stats_count_served_across_readmit(self):
+        """A re-admitted replica's retired service keeps its counts in
+        ``stats()``: the totals agree with the replay after a mid-traffic
+        drain, replica by replica."""
+        wl = poisson_workload(64, sizes_log2=(10, 12), rate=8e5, seed=11)
+        router = ClusterRouter(replicas=3, policy="round_robin", max_batch=4,
+                               max_wait_s=1e-4)
+        summary = cluster_replay(router, wl, fail_replica_at=6e-5)
+        assert summary["readmits"] == 1
+        stats = router.stats()
+        assert stats["served"] == summary["served"] == 64
+        assert stats["failed"] == summary["request_failures"]
+        assert sum(r["served"] for r in stats["per_replica"]) == 64
+        assert stats["per_replica"][0]["served"] > 0
+
 
 class TestRouterValidation:
     def test_bad_configs_rejected(self):

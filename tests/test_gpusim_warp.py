@@ -16,6 +16,7 @@ from repro.gpusim.warp import (
     warp_scan_cost,
 )
 from repro.primitives.operators import ADD, MAX
+from repro.util.hotpath import fast_paths
 
 
 class TestShuffles:
@@ -109,6 +110,25 @@ class TestWarpScan:
         lanes = rng.integers(-1000, 1000, (3, width)).astype(np.int64)
         out, _ = warp_inclusive_scan(lanes, ADD, width=width, pattern="lf")
         np.testing.assert_array_equal(out, np.cumsum(lanes, axis=-1))
+
+
+class TestExactDtypePath:
+    """Exact dtypes scan through ``Operator.accumulate`` on the fast path;
+    the result must be bit-identical to the lane-exact network walk."""
+
+    @pytest.mark.parametrize("op", [ADD, MAX], ids=lambda op: op.name)
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_ufunc_path_matches_network_walk(self, dtype, op):
+        info = np.iinfo(dtype)
+        rng = np.random.default_rng(17)
+        # Full-range values so the add case wraps exactly as the device would.
+        values = rng.integers(info.min, info.max, size=(6, 32), dtype=dtype)
+        for pattern in ("lf", "ks"):
+            fast, _ = warp_inclusive_scan(values, op, pattern=pattern)
+            with fast_paths(False):
+                walked, _ = warp_inclusive_scan(values, op, pattern=pattern)
+            assert fast.dtype == walked.dtype == values.dtype
+            np.testing.assert_array_equal(fast, walked)
 
 
 class TestWarpReduce:

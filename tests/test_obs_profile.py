@@ -21,10 +21,13 @@ import numpy as np
 import pytest
 
 from repro.core.api import scan
+from repro.core.autotune_cache import AutotuneCache
 from repro.core.health import RetryPolicy
+from repro.core.params import ProblemConfig
 from repro.core.session import ScanSession
 from repro.gpusim.events import Trace
 from repro.gpusim.faults import DeviceDown, FaultSchedule
+from repro.errors import AllocationError
 from repro.gpusim.metrics import communication_share
 from repro.interconnect.topology import tsubame_kfc
 from repro.obs.profile import (
@@ -105,6 +108,45 @@ class TestBitExactness:
         assert profile.communication_share == 0.0
         assert profile.compute_share == 0.0
         assert profile.phases == [] and profile.devices == []
+
+
+#: The estimate grid: every serving proposal (``auto`` included) on the
+#: placement it runs at, over the paper's size range and batch widths.
+ESTIMATE_PLACEMENTS = {
+    "sp": dict(W=1, V=1, M=1), "pp": dict(W=4, V=4, M=1),
+    "mps": dict(W=4, V=4, M=1), "mppc": dict(W=8, V=4, M=1),
+    "mn-mps": dict(W=4, V=4, M=2), "sp-dlb": dict(W=1, V=1, M=1),
+    "auto": dict(W=1, V=1, M=1),
+}
+
+
+@pytest.fixture(scope="module")
+def estimate_session():
+    return ScanSession(tsubame_kfc(2), autotune_cache=AutotuneCache())
+
+
+class TestEstimateGridReconciles:
+    """A one-ulp residual must not stall the reconciliation: every
+    estimate trace of the grid folds to its exact total."""
+
+    @pytest.mark.parametrize("dtype", ["int32", "float32", "int64"])
+    @pytest.mark.parametrize("proposal", list(ESTIMATE_PLACEMENTS))
+    def test_categories_sum_exactly(self, estimate_session, proposal, dtype):
+        profiled = 0
+        for n_log2 in range(10, 29):
+            for g in (1, 4, 16, 64):
+                problem = ProblemConfig.from_sizes(1 << n_log2, g, dtype)
+                try:
+                    result = estimate_session.estimate(
+                        problem, proposal=proposal,
+                        **ESTIMATE_PLACEMENTS[proposal])
+                except AllocationError:
+                    continue  # larger than the simulated device memory
+                profile = profile_trace(result.trace)
+                assert (sum(profile.categories.values())
+                        == result.trace.total_time()), (n_log2, g)
+                profiled += 1
+        assert profiled >= 60
 
 
 class TestCommunicationShare:
