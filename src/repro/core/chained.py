@@ -124,7 +124,6 @@ def launch_chained_scan(
     desc = descriptors.data
     identity = op.identity(plan.problem.dtype)
     core = _BlockScanCore(kp, op, gpu.arch.warp_size, plan.problem.dtype)
-    width, nw = core.width, core.num_warps
 
     def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
         bx, g = ctx.block_xy(block_ids)
@@ -144,18 +143,7 @@ def launch_chained_scan(
             prefixes[i] = prev
             desc[g[i], bx[i]] = op.combine(prev, totals[i])
 
-        local = partials["local"]
-        if not inclusive_out:
-            shifted = np.empty_like(local)
-            shifted[..., 0] = identity
-            shifted[..., 1:] = local[..., :-1]
-            local = shifted
-        offset = op.combine(
-            prefixes[:, None, None],
-            op.combine(carries[:, :, None], partials["warp_offsets"]),
-        )
-        offset = op.combine(offset[..., None], partials["thread_offsets"])
-        result = op.combine(offset[..., None], local)
+        result = core.finish(partials, carries, prefixes, inclusive_out)
         arr[g, bx] = result.reshape(nb, kp.K, kp.Lx, kp.P)
 
         ctx.stats.read_global(

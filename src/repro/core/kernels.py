@@ -33,7 +33,6 @@ from repro.gpusim.device import GPU
 from repro.gpusim.events import KernelRecord, Trace
 from repro.gpusim.kernel import KernelContext, LaunchConfig
 from repro.gpusim.lookback import (
-    STATE_AGGREGATE,
     STATE_INVALID,
     STATE_PREFIX,
     LookbackParams,
@@ -195,6 +194,39 @@ class _BlockScanCore:
     def chunk_totals(self, iteration_totals: np.ndarray) -> np.ndarray:
         """Reduction of the whole chunk: combine of the K iteration totals."""
         return self.op.reduce(iteration_totals, axis=-1)
+
+    def finish(
+        self,
+        partials: dict[str, np.ndarray],
+        carries: np.ndarray,
+        base: np.ndarray,
+        inclusive: bool,
+    ) -> np.ndarray:
+        """Every element of the chunks with its offsets applied.
+
+        ``base`` is each block's exclusive chunk offset, shape (nb,). The
+        offset is base . carry(k) . warp_offset . thread_offset, combined
+        left-to-right so non-commutative operators would still be
+        correct; each step updates call-owned scratch (the partials) in
+        place. Returns shape (nb, K, nw, width, P).
+        """
+        op = self.op
+        local = partials["local"]
+        if not inclusive:
+            shifted = _scratch(local.shape, local.dtype)
+            shifted[..., 0] = op.identity(self.dtype)
+            shifted[..., 1:] = local[..., :-1]
+            local = shifted
+        offset = op.combine(
+            carries[:, :, None], partials["warp_offsets"],
+            out=partials["warp_offsets"],
+        )
+        offset = op.combine(base[:, None, None], offset, out=offset)  # (nb, K, nw)
+        offset = op.combine(
+            offset[..., None], partials["thread_offsets"],
+            out=partials["thread_offsets"],
+        )  # (nb, K, nw, width)
+        return op.combine(offset[..., None], local, out=local)
 
 
 def _warp_geometry(kp: KernelParams, warp_size: int) -> tuple[int, int]:
@@ -501,7 +533,6 @@ def launch_scan_add(
     arr = data.data.reshape(g_local, bx_total, kp.K, kp.Lx, kp.P)
     aux_mat = aux_scanned.data
     core = _BlockScanCore(kp, op, gpu.arch.warp_size, plan.problem.dtype)
-    width, nw = core.width, core.num_warps
 
     def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
         bx, g = ctx.block_xy(block_ids)
@@ -511,26 +542,7 @@ def launch_scan_add(
         carries = core.cascade_carries(partials["iteration_totals"])  # (nb, K)
         base = aux_mat[g, chunk_column_offset + bx]  # (nb,) exclusive offsets
 
-        local = partials["local"].reshape(nb, kp.K, nw, width, kp.P)
-        if not inclusive_out:
-            shifted = _scratch(local.shape, local.dtype)
-            shifted[..., 0] = op.identity(plan.problem.dtype)
-            shifted[..., 1:] = local[..., :-1]
-            local = shifted
-
-        # offset = base . carry(k) . warp_offset . thread_offset, combined
-        # left-to-right so non-commutative operators would still be correct;
-        # each step updates call-owned scratch in place.
-        offset = op.combine(
-            carries[:, :, None], partials["warp_offsets"],
-            out=partials["warp_offsets"],
-        )
-        offset = op.combine(base[:, None, None], offset, out=offset)  # (nb, K, nw)
-        offset = op.combine(
-            offset[..., None], partials["thread_offsets"],
-            out=partials["thread_offsets"],
-        )  # (nb, K, nw, width)
-        result = op.combine(offset[..., None], local, out=local)
+        result = core.finish(partials, carries, base, inclusive_out)
         arr[g, bx] = result.reshape(nb, kp.K, kp.Lx, kp.P)
 
         ctx.stats.read_global(nb * kp.chunk_size * itemsize + nb * itemsize)
@@ -684,6 +696,63 @@ def single_pass_scan_stats(plan: ExecutionPlan, arch: GPUArchitecture) -> Launch
     return stats
 
 
+def lookback_fold(
+    totals: np.ndarray,
+    g: np.ndarray,
+    bx: np.ndarray,
+    desc: np.ndarray,
+    op: Operator,
+) -> np.ndarray:
+    """Resolve and publish the lookback of one engine call's blocks.
+
+    ``totals`` are the chunk totals of blocks ``(g, bx)``, given in
+    ascending order; ``desc`` is the ``(G, Bx, 3)`` descriptor array.
+    Returns each block's exclusive prefix and leaves every block's
+    descriptor in state ``P`` with its aggregate and inclusive prefix
+    (block 0 keeps its aggregate word untouched: it publishes ``P``
+    directly).
+
+    On the device the protocol runs in resident waves: a block folds the
+    ``A`` aggregates of co-resident predecessors onto the first ``P``
+    prefix it meets. That ``P`` is itself the left fold of every total
+    before it, so whatever the wave shape, a block's exclusive prefix is
+    the left fold of its row's earlier chunk totals — the chained scan's
+    association. Each contiguous run of one row is therefore a single
+    ``accumulate`` seeded by the ``P`` just before the run, or by nothing
+    at ``bx == 0`` (so block 0's ``P`` is its total exactly, ``-0.0``
+    included).
+    """
+    identity = op.identity(desc.dtype)
+    nb = len(totals)
+    prefixes = np.empty(nb, dtype=desc.dtype)
+    breaks = np.flatnonzero((g[1:] != g[:-1]) | (bx[1:] != bx[:-1] + 1)) + 1
+    for start, end in zip(np.r_[0, breaks], np.r_[breaks, nb]):
+        gi, b0 = g[start], bx[start]
+        run = slice(b0, b0 + end - start)
+        if b0 == 0:
+            folded = op.accumulate(totals[start:end])
+            prefixes[start] = identity
+            prefixes[start + 1:end] = folded[:-1]
+            desc[gi, 1:run.stop, 1] = totals[start + 1:end]
+        else:
+            if desc[gi, b0 - 1, 0] != STATE_PREFIX:
+                raise LaunchError(
+                    f"lookback hit an invalid descriptor at block "
+                    f"{b0 - 1} (problem {gi}): reset/ordering protocol "
+                    f"violated"
+                )
+            seeded = np.empty(end - start + 1, dtype=desc.dtype)
+            seeded[0] = desc[gi, b0 - 1, 2]
+            seeded[1:] = totals[start:end]
+            folded = op.accumulate(seeded)
+            prefixes[start:end] = folded[:-1]
+            folded = folded[1:]
+            desc[gi, run, 1] = totals[start:end]
+        desc[gi, run, 2] = folded
+        desc[gi, run, 0] = STATE_PREFIX
+    return prefixes
+
+
 def launch_single_pass_scan(
     trace: Trace,
     gpu: GPU,
@@ -708,6 +777,10 @@ def launch_single_pass_scan(
        (bit-identical across vectorized/blockwise execution modes);
     4. applies the resolved exclusive prefix to its elements and publishes
        its own inclusive prefix (state ``P``).
+
+    The simulation resolves step 3 as one left fold per problem over the
+    chunk totals (:func:`lookback_fold`); the resident window shapes the
+    protocol's *cost* (descriptor reads, polling stall), not the host loop.
 
     The polling stall is round-trip-bound, invisible to the byte-counting
     roofline, so it rides on the launch as ``extra_latency_s`` — computed
@@ -742,7 +815,6 @@ def launch_single_pass_scan(
 
     arr = data.data.reshape(g_local, bx_total, kp.K, kp.Lx, kp.P)
     desc = descriptors.data
-    identity = op.identity(plan.problem.dtype)
     core = _BlockScanCore(kp, op, gpu.arch.warp_size, plan.problem.dtype)
 
     def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
@@ -752,69 +824,14 @@ def launch_single_pass_scan(
         partials = core.run(chunks)
         carries = core.cascade_carries(partials["iteration_totals"])
         totals = core.chunk_totals(partials["iteration_totals"])  # (nb,)
+        prefixes = lookback_fold(totals, g, bx, desc, op)
 
-        # The protocol runs in resident waves of ``capacity`` blocks (the
-        # co-scheduling window real hardware exposes): within a wave every
-        # block first posts its aggregate (``A``), then each walks its
-        # predecessors — co-resident ones still ``A``, older waves already
-        # ``P`` — and only after the whole wave resolved are the inclusive
-        # prefixes published. Folding the collected aggregates
-        # left-to-right is the canonical chain association, so results are
-        # bit-identical however the engine batches blocks into calls.
-        prefixes = np.empty(nb, dtype=arr.dtype)
-        for start in range(0, nb, capacity):
-            wave = range(start, min(start + capacity, nb))
-            for i in wave:
-                gi, bi = g[i], bx[i]
-                if bi == 0:
-                    desc[gi, bi, 2] = totals[i]
-                    desc[gi, bi, 0] = STATE_PREFIX
-                else:
-                    desc[gi, bi, 1] = totals[i]
-                    desc[gi, bi, 0] = STATE_AGGREGATE
-            for i in wave:
-                gi, bi = g[i], bx[i]
-                if bi == 0:
-                    prefixes[i] = identity
-                    continue
-                j = bi - 1
-                pending = []
-                while desc[gi, j, 0] == STATE_AGGREGATE:
-                    pending.append(desc[gi, j, 1])
-                    j -= 1
-                if desc[gi, j, 0] != STATE_PREFIX:
-                    raise LaunchError(
-                        f"lookback hit an invalid descriptor at block {j} "
-                        f"(problem {gi}): reset/ordering protocol violated"
-                    )
-                acc = desc[gi, j, 2]
-                for aggregate in reversed(pending):
-                    acc = op.combine(acc, aggregate)
-                prefixes[i] = acc
-            for i in wave:
-                gi, bi = g[i], bx[i]
-                if bi > 0:
-                    desc[gi, bi, 2] = op.combine(prefixes[i], totals[i])
-                    desc[gi, bi, 0] = STATE_PREFIX
-
-        local = partials["local"]
-        if not inclusive_out:
-            shifted = np.empty_like(local)
-            shifted[..., 0] = identity
-            shifted[..., 1:] = local[..., :-1]
-            local = shifted
-        offset = op.combine(
-            prefixes[:, None, None],
-            op.combine(carries[:, :, None], partials["warp_offsets"]),
-        )
-        offset = op.combine(offset[..., None], partials["thread_offsets"])
-        result = op.combine(offset[..., None], local)
+        result = core.finish(partials, carries, prefixes, inclusive_out)
         arr[g, bx] = result.reshape(nb, kp.K, kp.Lx, kp.P)
 
         # Counters use the protocol *model* (a pure function of grid
-        # column and capacity), not the walk the serialised simulator
-        # happened to take — vectorized, blockwise and closed-form
-        # accounting therefore agree exactly.
+        # column and capacity) — the fold above walks nothing — so
+        # vectorized, blockwise and closed-form accounting agree exactly.
         reads = int(lookback_reads_per_block(bx, capacity).sum())
         ctx.stats.read_global(
             nb * kp.chunk_size * itemsize + reads * lb.descriptor_words * itemsize

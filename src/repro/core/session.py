@@ -21,6 +21,7 @@ drops.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -329,40 +330,36 @@ class ScanSession:
         enabled = obs.is_enabled()
         t0 = time.perf_counter() if enabled else 0.0
         with obs.span("scan") as root:
-            with obs.span("plan") as plan_span:
-                if V is None:
-                    V = min(W, self.topology.gpus_per_network)
-                node = NodeConfig.from_counts(W=W, V=V, M=M)
-                batch = coerce_batch(data)
-                problem = ProblemConfig.from_sizes(
-                    N=batch.shape[1], G=batch.shape[0], dtype=batch.dtype,
-                    operator=operator, inclusive=inclusive,
+            if V is None:
+                V = min(W, self.topology.gpus_per_network)
+            node = NodeConfig.from_counts(W=W, V=V, M=M)
+            batch = coerce_batch(data)
+            problem = ProblemConfig.from_sizes(
+                N=batch.shape[1], G=batch.shape[0], dtype=batch.dtype,
+                operator=operator, inclusive=inclusive,
+            )
+            # Single-GPU ``auto`` additionally picks the winning algorithm
+            # (three-kernel vs decoupled lookback) from the memoised
+            # crossover — transparently, so callers and the service get
+            # sp-dlb at large N for free. That choice prices both variants
+            # on a GPU, so it is planned under the failover loop.
+            pick_variant = False
+            if proposal == "auto":
+                proposal = recommend_proposal(self.topology, node, problem)
+                pick_variant = proposal == "sp"
+            if K != "tune" and K is not None and not isinstance(K, int):
+                raise ConfigurationError(
+                    f"K must be an int, None or 'tune', got {K!r}"
                 )
-                if proposal == "auto":
-                    proposal = recommend_proposal(self.topology, node, problem)
-                    # Single-GPU problems additionally pick the winning
-                    # algorithm (three-kernel vs decoupled lookback) from
-                    # the memoised crossover — transparently, so callers
-                    # and the service get sp-dlb at large N for free.
-                    if proposal == "sp":
-                        proposal = self.tuner.best_single_gpu_variant(problem)
-                if K != "tune" and K is not None and not isinstance(K, int):
-                    raise ConfigurationError(
-                        f"K must be an int, None or 'tune', got {K!r}"
-                    )
-                request = ScanRequest(
-                    problem=problem, batch=batch, node=node,
-                    proposal=proposal, K=K, collect=collect,
-                )
-                entry = self._entry_for(request, plan_span)
-                plan_span.set("proposal", proposal)
-            entry.calls += 1
-            self.calls += 1
-
-            result = self._run_with_failover(
-                entry, request, batch,
+            request = ScanRequest(
+                problem=problem, batch=batch, node=node,
+                proposal=proposal, K=K, collect=collect,
+            )
+            result, request = self._run_with_failover(
+                request, pick_variant,
                 operator=operator, inclusive=inclusive, collect=collect,
             )
+            proposal = request.proposal
             if include_distribution:
                 with obs.span("distribute"):
                     add_distribution_records(result, self.topology)
@@ -433,10 +430,15 @@ class ScanSession:
     # ------------------------------------------------------------- failover
 
     def _run_with_failover(
-        self, entry: _SessionEntry, request: ScanRequest, batch,
+        self, request: ScanRequest, pick_variant: bool,
         operator, inclusive, collect,
-    ) -> ScanResult:
-        """Run the entry's executor, retrying on availability failures.
+    ) -> tuple[ScanResult, ScanRequest]:
+        """Plan and run ``request``, retrying on availability failures.
+
+        Planning resolves the single-GPU variant (when ``pick_variant``)
+        and the memoised executor entry; both can touch a GPU, so a
+        device lost while planning fails over like one lost mid-run.
+        Returns the result and the request as finally planned.
 
         The healthy path is one straight-through ``executor.run`` — no
         extra records, no extra simulated time. On a
@@ -444,7 +446,8 @@ class ScanSession:
         :class:`~repro.errors.LinkDownError` the failed resource is
         quarantined, a backoff is charged (exponential, simulated
         seconds), and the request is *replanned* on the degraded machine
-        via :func:`repro.core.health.degraded_candidates`; attempts are
+        via :func:`repro.core.health.degraded_candidates` (a failure while
+        planning plans again from scratch); attempts are
         bounded by the session's :class:`~repro.core.health.RetryPolicy`
         and exhaustion raises
         :class:`~repro.errors.FailoverExhaustedError` carrying the
@@ -452,12 +455,17 @@ class ScanSession:
         """
         policy = self.health.policy
         attempts: list[AttemptRecord] = []
+        entry = None
         while True:
             attempt_no = len(attempts) + 1
             try:
+                if entry is None:
+                    entry, request = self._plan(request, pick_variant)
+                    entry.calls += 1
+                    self.calls += 1
                 with obs.span("execute", proposal=entry.proposal) as exec_span:
                     result = entry.executor.run(
-                        batch, operator=operator, inclusive=inclusive,
+                        request.batch, operator=operator, inclusive=inclusive,
                         collect=collect,
                     )
                     exec_span.annotate_trace(result.trace)
@@ -465,10 +473,10 @@ class ScanSession:
             except HealthTracker.RETRYABLE as exc:
                 kind = self.health.record_failure(exc)
                 backoff = policy.backoff_s(attempt_no)
-                node = entry.node or request.node
+                node = (entry and entry.node) or request.node
                 attempts.append(AttemptRecord(
                     attempt=attempt_no,
-                    proposal=entry.proposal,
+                    proposal=request.proposal,
                     node=(node.W, node.V, node.M),
                     error_type=type(exc).__name__,
                     error=str(exc),
@@ -476,7 +484,7 @@ class ScanSession:
                 ))
                 self.health.last_attempts = list(attempts)
                 if obs.is_enabled():
-                    obs.counter("scan.retries", proposal=entry.proposal,
+                    obs.counter("scan.retries", proposal=request.proposal,
                                 kind=kind).inc()
                 if attempt_no >= policy.max_attempts:
                     if obs.is_enabled():
@@ -487,9 +495,11 @@ class ScanSession:
                     )
                     self._flight_dump(error)
                     raise error from exc
-                with obs.span("failover", proposal=entry.proposal,
-                              attempt=attempt_no, error=type(exc).__name__):
-                    entry = self._degraded_entry(request, attempts)
+                if entry is not None:
+                    with obs.span("failover", proposal=entry.proposal,
+                                  attempt=attempt_no,
+                                  error=type(exc).__name__):
+                        entry = self._degraded_entry(request, attempts)
         if attempts:
             # Success after failover: charge the accumulated backoff into
             # the trace so end-to-end simulated latency includes the
@@ -516,7 +526,20 @@ class ScanSession:
                 obs.counter("scan.failovers", proposal=entry.proposal).inc()
         if obs.is_enabled():
             obs.histogram("scan.attempts").observe(len(attempts) + 1)
-        return result
+        return result, request
+
+    def _plan(
+        self, request: ScanRequest, pick_variant: bool
+    ) -> tuple[_SessionEntry, ScanRequest]:
+        """The executor entry for ``request`` (variant resolved first)."""
+        with obs.span("plan") as plan_span:
+            if pick_variant:
+                variant = self.tuner.best_single_gpu_variant(request.problem)
+                if variant != request.proposal:
+                    request = replace(request, proposal=variant)
+            entry = self._entry_for(request, plan_span)
+            plan_span.set("proposal", request.proposal)
+        return entry, request
 
     def _degraded_entry(
         self, request: ScanRequest, attempts: list[AttemptRecord]

@@ -113,6 +113,23 @@ class TestDeviceLossFailover:
         assert 1 not in used
         assert set(used) == {4, 5, 6, 7}
 
+    @pytest.mark.parametrize("at_call", [1, 2, 3])
+    def test_device_lost_while_auto_plans_fails_over(self, at_call):
+        """``auto`` prices sp against sp-dlb on a GPU before it runs
+        anything; a loss during that pricing is retried and replanned
+        like one mid-run, not raised as a raw DeviceLostError."""
+        machine = tsubame_kfc(1)
+        session = ScanSession(machine)
+        data = np.arange(1 << 16, dtype=np.int32)[None]
+        machine.install_faults(
+            FaultSchedule([DeviceDown(at_call=at_call, gpu_id=0)])
+        )
+        result = session.scan(data, proposal="auto")
+        np.testing.assert_array_equal(result.output, np.cumsum(data, axis=1))
+        assert result.config["failover"]["attempts"] >= 2
+        assert session.health.failovers == 1
+        assert result.config["gpu_ids"] == [1]
+
     def test_single_gpu_falls_back_to_healthy_peer(self, rng):
         machine = tsubame_kfc(1)
         session = ScanSession(machine)

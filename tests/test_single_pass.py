@@ -6,7 +6,9 @@ Four layers:
   its closed form, stall-model properties);
 - the kernel protocol (descriptor end states, execution-mode invariance,
   the association guarantee that makes float results bit-identical to the
-  chained executor's);
+  chained executor's), checked against :func:`reference_lookback` — the
+  protocol walked wave by wave with scalar combines, which the kernel
+  replaces with one fold per problem — and its invalid-descriptor error;
 - the cost structure (sp-dlb never beats the idealised chained bound, but
   crosses the three-kernel pipeline as N grows — per dtype and G);
 - the tuner/session integration (``auto`` resolves through the memoised
@@ -17,23 +19,140 @@ suite; estimate==run in ``test_executor_pipeline`` — both parametrize over
 the registry, which now includes ``sp-dlb``.
 """
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.params import ProblemConfig
 from repro.core.chained import ScanChained
+from repro.core.kernels import (
+    _BlockScanCore,
+    _lookback_geometry,
+    launch_descriptor_reset,
+    launch_single_pass_scan,
+    lookback_fold,
+)
 from repro.core.single_gpu import ScanSP
 from repro.core.single_pass import ScanSinglePassDLB
 from repro.core.session import ScanSession
 from repro.core.tuner import PremiseTuner
+from repro.errors import LaunchError
+from repro.gpusim.events import Trace
 from repro.gpusim.kernel import ExecutionEngine
 from repro.gpusim.lookback import (
+    STATE_AGGREGATE,
+    STATE_INVALID,
+    STATE_PREFIX,
     LookbackParams,
     lookback_reads_per_block,
     lookback_stall_s,
     total_lookback_reads,
 )
+from repro.gpusim.memory import POISON_BYTE
 from repro.interconnect.topology import tsubame_kfc
+from repro.primitives.operators import Operator, resolve_operator
+
+
+def reference_lookback(totals, g, bx, capacity, desc, op):
+    """The decoupled-lookback protocol walked block by block (test oracle).
+
+    ``totals``, ``g`` and ``bx`` describe the blocks of one engine call, in
+    ascending order. They run in resident waves of ``capacity`` blocks:
+    every block of a wave first posts its aggregate (``A``; block 0 posts
+    its inclusive prefix ``P`` directly), then each walks back over its
+    predecessors, collecting co-resident ``A`` aggregates until it meets a
+    ``P`` and folding them onto it left to right; only after the whole
+    wave resolved are the inclusive prefixes published. Mutates ``desc``
+    (``(G, Bx, 3)``: status, aggregate, inclusive prefix) as the kernel
+    does and returns each block's exclusive prefix.
+    """
+    identity = op.identity(desc.dtype)
+    nb = len(totals)
+    prefixes = np.empty(nb, dtype=desc.dtype)
+    for start in range(0, nb, capacity):
+        wave = range(start, min(start + capacity, nb))
+        for i in wave:
+            gi, bi = g[i], bx[i]
+            if bi == 0:
+                desc[gi, bi, 2] = totals[i]
+                desc[gi, bi, 0] = STATE_PREFIX
+            else:
+                desc[gi, bi, 1] = totals[i]
+                desc[gi, bi, 0] = STATE_AGGREGATE
+        for i in wave:
+            gi, bi = g[i], bx[i]
+            if bi == 0:
+                prefixes[i] = identity
+                continue
+            j = bi - 1
+            pending = []
+            while desc[gi, j, 0] == STATE_AGGREGATE:
+                pending.append(desc[gi, j, 1])
+                j -= 1
+            if desc[gi, j, 0] != STATE_PREFIX:
+                raise LaunchError(
+                    f"lookback hit an invalid descriptor at block {j} "
+                    f"(problem {gi}): reset/ordering protocol violated"
+                )
+            acc = desc[gi, j, 2]
+            for aggregate in reversed(pending):
+                acc = op.combine(acc, aggregate)
+            prefixes[i] = acc
+        for i in wave:
+            gi, bi = g[i], bx[i]
+            if bi > 0:
+                desc[gi, bi, 2] = op.combine(prefixes[i], totals[i])
+                desc[gi, bi, 0] = STATE_PREFIX
+    return prefixes
+
+
+@dataclass
+class _InterruptedEngine(ExecutionEngine):
+    """Runs an ordered launch in two parts, blocks ``[0, split)`` then
+    ``[split, total)``, calling ``between()`` in between. Each part is one
+    call in vectorized mode and one call per block in blockwise mode.
+    ``head=False`` never runs the first part: the launch resumes at
+    ``split`` over descriptors it did not write itself."""
+
+    split: int = 0
+    between: Callable[[], None] = lambda: None
+    head: bool = True
+
+    def run(self, ctx, body, ordered=False):
+        if self.head:
+            self._part(ctx, body, np.arange(self.split, dtype=np.int64))
+        self.between()
+        self._part(ctx, body, np.arange(self.split, ctx.config.blocks,
+                                        dtype=np.int64))
+
+    def _part(self, ctx, body, ids):
+        calls = [ids] if self.mode == "vectorized" else np.split(ids, len(ids))
+        for call in calls:
+            body(ctx, call)
+
+
+def _sp_dlb_buffers(data, operator="add", inclusive=True, engine=None,
+                    fill=None, reset=True):
+    """(gpu, plan, data buffer, descriptor buffer) of one sp-dlb launch,
+    with the descriptors allocated (``fill``) and optionally reset;
+    ``engine`` then schedules the launches that follow."""
+    gpu = tsubame_kfc(1).gpus[0]
+    problem = ProblemConfig.from_sizes(
+        N=data.shape[1], G=data.shape[0], dtype=data.dtype,
+        operator=operator, inclusive=inclusive,
+    )
+    plan = ScanSinglePassDLB(gpu).plan_for(problem)
+    device = gpu.upload(data)
+    desc = gpu.alloc((data.shape[0], plan.stage1.bx, 3), data.dtype, fill=fill)
+    if reset:
+        launch_descriptor_reset(Trace(), gpu, desc, plan)
+    if engine is not None:
+        gpu.engine = engine
+    return gpu, plan, device, desc
 
 
 class TestLookbackModel:
@@ -128,6 +247,195 @@ class TestLookbackProtocol:
         assert names == ["descriptor_reset", "single_pass_scan"]
         assert result.config["single_pass"] is True
         assert result.config["lookback_window"] == machine.arch.warp_size
+
+
+def _draw_batch(dtype, g, n, seed, zero_frac):
+    """Integers over a range that wraps int32 sums; NaN-free floats with a
+    ``zero_frac`` share of ``-0.0`` (all of them at 1.0)."""
+    rng = np.random.default_rng(seed)
+    if np.issubdtype(dtype, np.integer):
+        return rng.integers(-(1 << 20), 1 << 20, (g, n)).astype(dtype)
+    data = rng.normal(0, 10, (g, n)).astype(dtype)
+    data[rng.random((g, n)) < zero_frac] = -0.0
+    return data
+
+
+class TestReferenceWalk:
+    """The kernel's one fold per problem against the scalar protocol walk."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_fold_matches_walk_on_any_totals(self, data):
+        """``lookback_fold`` against the walk on arbitrary chunk totals —
+        ``-0.0`` and extreme floats included — split into any ascending
+        run of engine calls, with any wave width."""
+        dtype = data.draw(st.sampled_from(
+            [np.int32, np.int64, np.float32, np.float64]))
+        op = resolve_operator(data.draw(st.sampled_from(["add", "max"])))
+        g = data.draw(st.integers(1, 4))
+        bx_total = data.draw(st.integers(1, 40))
+        if np.issubdtype(dtype, np.integer):
+            elements = st.integers(-(1 << 20), 1 << 20)
+        else:
+            elements = st.floats(allow_nan=False, allow_infinity=False,
+                                 width=np.dtype(dtype).itemsize * 8)
+        totals = data.draw(hnp.arrays(dtype, g * bx_total, elements=elements))
+        n = g * bx_total
+        cuts = sorted(c for c in data.draw(st.sets(st.integers(1, n))) if c < n)
+        capacity = data.draw(st.integers(1, 64))
+        ids = np.arange(n)
+        desc = np.full((g, bx_total, 3), 7, dtype=dtype)
+        desc[..., 0] = STATE_INVALID
+        reference = desc.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for call in np.split(ids, cuts):
+                got = lookback_fold(totals[call], call // bx_total,
+                                    call % bx_total, desc, op)
+                want = reference_lookback(totals[call], call // bx_total,
+                                          call % bx_total, capacity,
+                                          reference, op)
+                assert got.tobytes() == want.tobytes()
+        assert desc.tobytes() == reference.tobytes()
+
+    def test_block_zero_publishes_its_total_exactly(self):
+        """Block 0 posts its total as ``P`` without combining it onto the
+        identity, so a ``-0.0`` total survives (``0.0 + -0.0`` is ``+0.0``)
+        into its descriptor and its successors' prefixes."""
+        totals = np.array([-0.0, -0.0, 2.5, -0.0])
+        desc = np.zeros((1, 4, 3))
+        reference = desc.copy()
+        ids = np.arange(4)
+        prefixes = lookback_fold(totals, ids * 0, ids, desc, resolve_operator("add"))
+        want = reference_lookback(totals, ids * 0, ids, 2, reference,
+                                  resolve_operator("add"))
+        assert np.signbit(desc[0, :2, 2]).all()
+        assert np.signbit(prefixes[1:3]).all()
+        assert prefixes.tobytes() == want.tobytes()
+        assert desc.tobytes() == reference.tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.int32, np.int64, np.float32, np.float64]),
+        operator=st.sampled_from(["add", "max"]),
+        inclusive=st.booleans(),
+        g=st.sampled_from([1, 2, 4, 8, 16]),  # kernels take 2^k rows
+        log_n=st.integers(10, 16),
+        mode=st.sampled_from(["vectorized", "blockwise"]),
+        seed=st.integers(0, 2**32 - 1),
+        zero_frac=st.sampled_from([0.0, 0.2, 1.0]),
+        window=st.one_of(st.none(), st.integers(1, 48)),
+    )
+    # 16 rows of 32 blocks: the 208-block resident waves end mid-problem.
+    @example(dtype=np.int64, operator="add", inclusive=True, g=16, log_n=14,
+             mode="vectorized", seed=1, zero_frac=0.0, window=None)
+    @example(dtype=np.float32, operator="add", inclusive=False, g=8,
+             log_n=15, mode="vectorized", seed=2, zero_frac=1.0, window=7)
+    def test_kernel_matches_reference_walk_bitwise(
+        self, dtype, operator, inclusive, g, log_n, mode, seed, zero_frac,
+        window,
+    ):
+        """Outputs and every descriptor word (status, aggregate, prefix —
+        including block 0's aggregate word, which nothing writes) equal the
+        wave-by-wave walk's on the same chunk totals, bit for bit. The
+        walk's wave width is the real resident capacity or a drawn one:
+        the fold must not depend on it."""
+        data = _draw_batch(dtype, g, 1 << log_n, seed, zero_frac)
+        gpu, plan, device, desc = _sp_dlb_buffers(
+            data, operator, inclusive, engine=ExecutionEngine(mode=mode),
+            fill=7,
+        )
+        reference = desc.data.copy()
+        launch_single_pass_scan(Trace(), gpu, device, desc, plan)
+
+        kp = plan.stage1.params
+        op = plan.problem.operator
+        bx_total = plan.stage1.bx
+        _, capacity, _ = _lookback_geometry(plan, gpu.arch)
+        core = _BlockScanCore(kp, op, gpu.arch.warp_size, dtype)
+        partials = core.run(
+            data.reshape(g * bx_total, kp.K, kp.Lx, kp.P).copy()
+        )
+        totals = core.chunk_totals(partials["iteration_totals"])
+        ids = np.arange(g * bx_total)
+        calls = [ids] if mode == "vectorized" else np.split(ids, len(ids))
+        with np.errstate(over="ignore"):
+            prefixes = np.concatenate([
+                reference_lookback(totals[c], c // bx_total, c % bx_total,
+                                   window or capacity, reference, op)
+                for c in calls
+            ])
+        expected = core.finish(
+            partials, core.cascade_carries(partials["iteration_totals"]),
+            prefixes, inclusive,
+        )
+        assert desc.data.tobytes() == reference.tobytes()
+        assert device.data.tobytes() == expected.tobytes()
+
+
+class TestProtocolViolation:
+    """A block whose predecessor never published ``P`` must fail loudly."""
+
+    @pytest.mark.parametrize("mode", ["vectorized", "blockwise"])
+    def test_unreset_descriptors_raise(self, mode):
+        """Stale descriptors (never reset, recycled-buffer garbage) under a
+        launch resumed mid-row: the lookback finds no prefix to seed from."""
+        data = np.ones((4, 1 << 14), dtype=np.int32)  # 16 blocks per row
+        split = 16 + 5  # problem 1, block 5
+        engine = _InterruptedEngine(mode=mode, split=split, head=False)
+        gpu, plan, device, desc = _sp_dlb_buffers(
+            data, engine=engine, reset=False,
+        )
+        desc.data.view(np.uint8)[...] = POISON_BYTE
+        with pytest.raises(LaunchError, match=r"at block 4 \(problem 1\)"):
+            launch_single_pass_scan(Trace(), gpu, device, desc, plan)
+
+    @pytest.mark.parametrize("mode", ["vectorized", "blockwise"])
+    def test_descriptor_poisoned_mid_row_raises(self, mode):
+        """A published prefix knocked back to ``X`` between two parts of
+        the launch: the next block's lookback names it."""
+        data = np.ones((2, 1 << 14), dtype=np.float64)  # 32 blocks per row
+        split = 32 + 9  # problem 1, block 9
+        gpu, plan, device, desc = _sp_dlb_buffers(data)
+
+        def poison():
+            desc.data[1, 8, 0] = STATE_INVALID
+
+        gpu.engine = _InterruptedEngine(mode=mode, split=split, between=poison)
+        with pytest.raises(LaunchError, match=r"at block 8 \(problem 1\)"):
+            launch_single_pass_scan(Trace(), gpu, device, desc, plan)
+
+    def test_interrupted_launch_without_poison_is_exact(self):
+        """Control for the two tests above: splitting a launch mid-row is
+        legal by itself; the second part seeds from the first's ``P``."""
+        data = np.arange(2 << 14, dtype=np.int64).reshape(2, 1 << 14)
+        engine = _InterruptedEngine(mode="vectorized", split=32 + 9)
+        gpu, plan, device, desc = _sp_dlb_buffers(data, engine=engine)
+        launch_single_pass_scan(Trace(), gpu, device, desc, plan)
+        np.testing.assert_array_equal(device.data, np.cumsum(data, axis=1))
+        assert (desc.data[..., 0] == STATE_PREFIX).all()
+
+
+class TestLookbackWalkCost:
+    @pytest.mark.parametrize("g", [1, 4])
+    def test_combine_calls_do_not_grow_with_blocks(self, monkeypatch, g):
+        """The lookback is one ``accumulate`` per problem, not a scalar
+        ``combine`` per predecessor: a functional sp-dlb run makes as many
+        ``Operator.combine`` calls at 2^18 (4x the blocks) as at 2^16."""
+        combine = Operator.combine
+        calls = []
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return combine(self, *args, **kwargs)
+
+        monkeypatch.setattr(Operator, "combine", counted)
+        counts = []
+        for n in (16, 18):
+            data = np.ones((g, 1 << n), dtype=np.int32)
+            calls.clear()
+            ScanSinglePassDLB(tsubame_kfc(1).gpus[0]).run(data)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestCostStructure:
